@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["IPAddr", "Endpoint", "FlowKey", "PROTO_TCP", "PROTO_UDP", "PROTO_CTL"]
 
@@ -21,30 +21,23 @@ class IPAddr:
     """
 
     value: str
+    #: The address packed into 32 bits, computed once at construction:
+    #: the checksum reads it for every sealed or re-verified packet.
+    _int: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parts = self.value.split(".")
         if len(parts) != 4 or not all(p.isdigit() and 0 <= int(p) <= 255 for p in parts):
             raise ValueError(f"malformed IPv4 address: {self.value!r}")
+        a, b, c, d = (int(p) for p in parts)
+        object.__setattr__(self, "_int", (a << 24) | (b << 16) | (c << 8) | d)
 
     def __str__(self) -> str:
         return self.value
 
     def as_int(self) -> int:
-        """Address as a 32-bit integer (used in checksum computation).
-
-        Memoized module-wide: this sits on the per-packet hot path.
-        """
-        cached = _int_cache.get(self.value)
-        if cached is None:
-            a, b, c, d = (int(p) for p in self.value.split("."))
-            cached = (a << 24) | (b << 16) | (c << 8) | d
-            _int_cache[self.value] = cached
-        return cached
-
-
-#: value-string -> packed int; addresses are few and immutable.
-_int_cache: dict[str, int] = {}
+        """Address as a 32-bit integer (used in checksum computation)."""
+        return self._int
 
 
 @dataclass(frozen=True, slots=True, order=True)

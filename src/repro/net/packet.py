@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .addr import Endpoint, FlowKey, IPAddr, PROTO_CTL, PROTO_TCP, PROTO_UDP
+from .addr import Endpoint, IPAddr, PROTO_CTL, PROTO_TCP, PROTO_UDP
 
 __all__ = [
     "TCPFlags",
@@ -96,6 +96,9 @@ class Packet:
     #: the protocol or payload size, and the link layer reads this on
     #: every transmit.
     size: int = field(init=False, repr=False, compare=False, default=0)
+    #: The checksum-covered fields and the stored checksum as the last
+    #: :meth:`seal` left them (``None`` until sealed); see :meth:`checksum_ok`.
+    _sealed: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.proto == PROTO_TCP:
@@ -124,46 +127,61 @@ class Packet:
     def dst(self) -> Endpoint:
         return Endpoint(self.dst_ip, self.dport)
 
-    def flow_key_at_receiver(self) -> FlowKey:
-        """FlowKey from the receiving host's point of view."""
-        return FlowKey(self.proto, local=self.dst, remote=self.src)
+    def _covered(self) -> tuple:
+        """Every field :func:`transport_checksum` reads, plus the stored
+        checksum."""
+        tcp = self.tcp
+        if tcp is None:
+            return (self.src_ip, self.dst_ip, self.proto, self.sport, self.dport,
+                    self.payload_size, self.checksum)
+        return (self.src_ip, self.dst_ip, self.proto, self.sport, self.dport,
+                self.payload_size, tcp.seq, tcp.ack, tcp.flags, self.checksum)
 
     def seal(self) -> "Packet":
         """Compute and store the transport checksum.  Returns self."""
         self.checksum = transport_checksum(self)
+        self._sealed = self._covered()
         return self
 
     def checksum_ok(self) -> bool:
-        """Verify the stored checksum against the current header fields."""
+        """Verify the stored checksum against the current header fields.
+
+        The checksum is a pure function of the covered fields, so while
+        they (and the stored checksum) still equal the seal-time snapshot
+        the seal's result stands; any rewrite since then recomputes.
+        """
+        sealed = self._sealed
+        if sealed is not None and sealed == self._covered():
+            return True
         return self.checksum == transport_checksum(self)
 
     def copy(self) -> "Packet":
         """Shallow copy with a fresh packet id (used by the broadcast
         router, which delivers one instance per node so that per-node
-        header mangling never aliases)."""
-        tcp = None
-        if self.tcp is not None:
-            tcp = TCPHeader(
-                seq=self.tcp.seq,
-                ack=self.tcp.ack,
-                flags=self.tcp.flags,
-                window=self.tcp.window,
-                ts_val=self.tcp.ts_val,
-                ts_ecr=self.tcp.ts_ecr,
-            )
-        return Packet(
-            src_ip=self.src_ip,
-            dst_ip=self.dst_ip,
-            proto=self.proto,
-            sport=self.sport,
-            dport=self.dport,
-            payload_size=self.payload_size,
-            payload=self.payload,
-            tcp=tcp,
-            checksum=self.checksum,
-            sent_at=self.sent_at,
-            dst_cache_ip=self.dst_cache_ip,
-        )
+        header mangling never aliases).
+
+        Fills the slots directly: the original already passed validation,
+        and the seal snapshot travels with the copy.
+        """
+        new = object.__new__(Packet)
+        tcp = self.tcp
+        if tcp is not None:
+            tcp = TCPHeader(tcp.seq, tcp.ack, tcp.flags, tcp.window, tcp.ts_val, tcp.ts_ecr)
+        new.src_ip = self.src_ip
+        new.dst_ip = self.dst_ip
+        new.proto = self.proto
+        new.sport = self.sport
+        new.dport = self.dport
+        new.payload_size = self.payload_size
+        new.payload = self.payload
+        new.tcp = tcp
+        new.checksum = self.checksum
+        new.pkt_id = next(_packet_ids)
+        new.sent_at = self.sent_at
+        new.dst_cache_ip = self.dst_cache_ip
+        new.size = self.size
+        new._sealed = self._sealed
+        return new
 
     def __str__(self) -> str:
         base = f"{self.proto} {self.src}>{self.dst} len={self.size}"
@@ -183,8 +201,9 @@ def transport_checksum(pkt: Packet) -> int:
     Covers source/destination IP (the pseudo-header — this is why NAT-style
     rewriting must recompute it), ports, length, and for TCP the sequence
     numbers and flags.  CRC32 stands in for the Internet checksum; only
-    the *dependency set* matters for the model.  (struct-packed: this is
-    computed once per transmitted and once per received packet.)
+    the *dependency set* matters for the model.  (struct-packed: this runs
+    at every seal, and on receive only when a covered field changed since
+    the seal — see :meth:`Packet.checksum_ok`.)
     """
     buf = _PSEUDO.pack(
         pkt.src_ip.as_int(),

@@ -58,10 +58,9 @@ class IPLayer:
 
     def ip_rcv_finish(self, pkt: Packet) -> None:
         """Demultiplex to a socket; the ``okfn()`` reinjection target."""
-        key = pkt.flow_key_at_receiver()
         tables = self.stack.tables
         if pkt.proto == PROTO_TCP:
-            sock = tables.ehash_lookup(key)
+            sock = tables.ehash_lookup_rx(pkt)
             if sock is None:
                 listener = tables.bhash_lookup(pkt.dst_ip, pkt.dport)
                 if listener is not None and pkt.tcp is not None and pkt.tcp.flags.syn:

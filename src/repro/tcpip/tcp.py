@@ -45,6 +45,10 @@ EOF = object()
 
 _iss_counter = itertools.count(10_000, 64_000)
 
+#: The flags of every data segment and pure ACK (frozen, so one instance
+#: serves all of them).
+_ACK = TCPFlags(ack=True)
+
 
 class TCPState:
     CLOSED = "CLOSED"
@@ -152,7 +156,10 @@ class TCPSocket:
         return FlowKey(PROTO_TCP, self.local, self.remote)
 
     def current_ts_val(self) -> int:
-        return self.kernel.jiffies.jiffies + self.ts_offset
+        # JiffiesClock.jiffies, read without the property chain: this runs
+        # for every segment built and most segments received.
+        clock = self.stack.kernel.jiffies
+        return clock.boot_offset + int(self.env.now * clock.hz) + self.ts_offset
 
     def _new_iss(self) -> int:
         return next(_iss_counter) % (1 << 32)
@@ -330,7 +337,7 @@ class TCPSocket:
                 self.ts_recent_stamp = self.current_ts_val()
                 self.state = TCPState.ESTABLISHED
                 self._stop_rto()
-                self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+                self._send_ctl(_ACK, seq=self.snd_nxt)
                 if self._connect_event is not None:
                     self._connect_event.succeed(self)
                     self._connect_event = None
@@ -339,7 +346,7 @@ class TCPSocket:
         # -- PAWS: reject segments whose timestamp regressed --------------
         if hdr.ts_val != 0 and self.ts_recent != 0 and hdr.ts_val < self.ts_recent:
             self.paws_drops += 1
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(_ACK, seq=self.snd_nxt)
             return
         if hdr.ts_val != 0 and seq_leq(hdr.seq, self.rcv_nxt):
             if hdr.ts_val > self.ts_recent:
@@ -455,17 +462,17 @@ class TCPSocket:
                 self.receive_queue.push(run_skb)
                 self.rcv_nxt = run_skb.end_seq
                 self.bytes_received += run_skb.size
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(_ACK, seq=self.snd_nxt)
         elif seq_gt(hdr.seq, self.rcv_nxt):
             self.ooo_queue.insert(skb)
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)  # dup ack
+            self._send_ctl(_ACK, seq=self.snd_nxt)  # dup ack
         else:
             # Old or duplicate data: re-ack.
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+            self._send_ctl(_ACK, seq=self.snd_nxt)
 
     def _process_fin(self, hdr: TCPHeader) -> None:
         if self.fin_received:
-            self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)  # re-ack dup FIN
+            self._send_ctl(_ACK, seq=self.snd_nxt)  # re-ack dup FIN
             return
         if not seq_leq(hdr.seq, self.rcv_nxt):
             return  # FIN beyond a gap; wait for retransmission
@@ -478,7 +485,7 @@ class TCPSocket:
             self._become_closed()
         elif self.state == TCPState.FIN_WAIT_1:
             self.state = TCPState.CLOSE_WAIT  # simultaneous close simplified
-        self._send_ctl(TCPFlags(ack=True), seq=self.snd_nxt)
+        self._send_ctl(_ACK, seq=self.snd_nxt)
 
     def _become_closed(self) -> None:
         self.state = TCPState.CLOSED
@@ -565,7 +572,7 @@ class TCPSocket:
         self.stack.ip_output(self._build_packet(flags, seq, None, 0))
 
     def _send_data(self, skb: SKBuff) -> None:
-        pkt = self._build_packet(TCPFlags(ack=True), skb.seq, skb.payload, skb.size)
+        pkt = self._build_packet(_ACK, skb.seq, skb.payload, skb.size)
         self.stack.ip_output(pkt)
 
     def __repr__(self) -> str:

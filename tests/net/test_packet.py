@@ -77,12 +77,6 @@ class TestPacket:
         assert str(p.src) == "10.0.0.1:1234"
         assert str(p.dst) == "10.0.0.2:80"
 
-    def test_flow_key_at_receiver(self):
-        p = make_tcp()
-        fk = p.flow_key_at_receiver()
-        assert fk.local == p.dst
-        assert fk.remote == p.src
-
     def test_copy_is_deep_for_tcp_header(self):
         p = make_tcp()
         q = p.copy()
