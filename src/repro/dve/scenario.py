@@ -21,7 +21,6 @@ from ..middleware import (
     ConductorConfig,
     MigrationEvent,
     PolicyConfig,
-    install_conductor,
 )
 from .client import ClientPopulation, MovementConfig
 from .mysql import MySQLServer
@@ -157,13 +156,9 @@ class DVEScenario:
                     zs.connect_neighbor(east)
 
         if cfg.load_balancing:
-            scan = [n.local_ip for n in self.cluster.nodes]
-            ccfg = cfg.make_conductor_config()
-            for node in self.cluster.nodes:
-                cond = install_conductor(
-                    node, scan, self.cluster.node_by_local_ip, ccfg
-                )
-                self.conductors.append(cond)
+            self.conductors = self.cluster.install_balancers(
+                cfg.make_conductor_config()
+            )
             for zs in self.zone_servers:
                 node = zs.current_node()
                 node.daemons["conductor"].manage(zs.proc)

@@ -34,13 +34,7 @@ from ..oskern.node import Host
 from .detector import FailureDetector
 from .loadinfo import LoadInfo, PeerDatabase
 from .monitor import LoadMonitor
-from .policies import (
-    InformationPolicy,
-    LocationPolicy,
-    PolicyConfig,
-    SelectionPolicy,
-    TransferPolicy,
-)
+from .policies import PolicyConfig
 from .strategy import Planner, make_strategy
 from .twophase import MigrationAdmission
 
@@ -86,23 +80,18 @@ class ConductorConfig:
     #: outbound share the capacity).  1 = the paper's single slot; >1
     #: lets the balance loop launch several sessions per round.
     admission_capacity: int = 1
-    #: Policy overrides (defaults: the paper's opposite-side-of-average
-    #: location policy and difference-matched selection policy).  The
-    #: ``paper-threshold`` strategy honours these; other strategies may
-    #: ignore them.
-    location_policy: Optional[LocationPolicy] = None
-    selection_policy: Optional[SelectionPolicy] = None
     #: Decision strategy, by registry name (``repro.middleware.strategy``).
     #: The default reproduces the pre-strategy conductor byte-identically.
     strategy: str = "paper-threshold"
     #: Keyword arguments forwarded to the strategy factory (e.g.
-    #: ``{"band": 5.0}`` for ``workload-balance-to-average``).
+    #: ``{"band": 5.0}`` for ``workload-balance-to-average``, or
+    #: ``{"location": "least-loaded"}`` for ``paper-threshold``).
     strategy_params: dict = dataclass_field(default_factory=dict)
     #: Master seed for the conductor's per-node strategy rng stream
     #: (combined with the node address, so every node draws its own
     #: deterministic stream).  Stochastic strategies and policies —
-    #: ``RandomLocationPolicy`` via the registry — must use this stream
-    #: rather than module-level randomness.
+    #: ``paper-threshold`` with ``location="random"`` — must use this
+    #: stream rather than module-level randomness.
     seed: int = 0
     #: Staleness guard window (seconds): the planner reports peers whose
     #: last heartbeat is older than this but never ranks them as
@@ -161,10 +150,6 @@ class Conductor:
         )
         #: Processes with an outbound session in flight (batch mode).
         self._outbound: set[SimProcess] = set()
-        self.transfer = TransferPolicy(cfg.policies)
-        self.location = cfg.location_policy or LocationPolicy(cfg.policies)
-        self.selection = cfg.selection_policy or SelectionPolicy(cfg.policies)
-        self.information = InformationPolicy(cfg.policies)
 
         # The decision plane: a per-node seeded rng stream (master seed
         # combined with the node address — deterministic, unlike Python's
@@ -231,9 +216,11 @@ class Conductor:
         self.env.process(self._balance_loop(), name=f"cond-balance-{host.name}")
 
     @property
-    def slot(self) -> MigrationAdmission:
-        """Back-compat name for the admission (capacity 1 = the slot)."""
-        return self.admission
+    def asleep(self) -> bool:
+        """Power state: a node that manages no process is asleep (the
+        ``consolidate`` strategy drains nodes into this state and wakes
+        them by migrating a process back)."""
+        return not self.managed
 
     # -- management ------------------------------------------------------------
     def manage(self, proc: SimProcess) -> None:
@@ -351,7 +338,7 @@ class Conductor:
         )
         jitter = self.config.heartbeat_jitter
         while True:
-            period = self.information.interval
+            period = self.config.policies.heartbeat_interval
             if jitter:
                 period *= 1.0 + jitter * (2.0 * jitter_rng.random() - 1.0)
             yield self.env.timeout(period)

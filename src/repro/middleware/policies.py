@@ -10,7 +10,9 @@ Krueger/Singhal's taxonomy [17]).
   so both converge to the average after the migration.
 - *Selection policy*: pick the process whose CPU share best matches the
   local-load-minus-average difference.
-- *Information policy*: periodic broadcast of load heartbeats.
+- *Information policy*: periodic broadcast of load heartbeats, every
+  ``PolicyConfig.heartbeat_interval`` seconds (the conductor's heartbeat
+  loop reads it directly).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "TransferPolicy",
     "LocationPolicy",
     "SelectionPolicy",
-    "InformationPolicy",
 ]
 
 
@@ -196,13 +197,3 @@ class LargestProcessSelectionPolicy(SelectionPolicy):
         proc, _share = max(eligible, key=lambda ps: ps[1])
         return proc
 
-
-class InformationPolicy:
-    """Periodic heartbeat broadcast (Section IV-D)."""
-
-    def __init__(self, config: PolicyConfig) -> None:
-        self.config = config
-
-    @property
-    def interval(self) -> float:
-        return self.config.heartbeat_interval

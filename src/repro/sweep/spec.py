@@ -37,6 +37,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+from ..scenarios.campaign import (
+    campaign_names,
+    check_strategy,
+    parse_campaign,
+    parse_strategy_value,
+)
 from ..scenarios.dsl import ScenarioParseError
 
 __all__ = [
@@ -121,25 +127,6 @@ class SweepSpec:
         return n
 
 
-def parse_strategy_value(value: str) -> tuple[str, dict]:
-    """``name`` or ``name:k=v,k=v`` -> (name, params)."""
-    name, sep, raw = value.partition(":")
-    params: dict = {}
-    if sep:
-        for item in raw.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            key, psep, pval = item.partition("=")
-            if not psep:
-                raise ValueError(f"strategy params must be key=value, got {item!r}")
-            try:
-                params[key.strip()] = float(pval)
-            except ValueError:
-                params[key.strip()] = pval.strip()
-    return name.strip(), params
-
-
 def _split_values(raw: str) -> list[str]:
     sep = "|" if "|" in raw else ","
     return [v.strip() for v in raw.split(sep) if v.strip()]
@@ -154,7 +141,6 @@ def parse_sweep(text: str, path: str = "<sweep>") -> SweepSpec:
     so errors in the base point at the right line of the sweep file.
     """
     from ..faults.dsl import parse_fault
-    from ..scenarios.campaign import campaign_names, parse_campaign
 
     sweep_lines: list[tuple[int, str]] = []
     matrix_lines: list[tuple[int, str]] = []
@@ -232,10 +218,7 @@ def parse_sweep(text: str, path: str = "<sweep>") -> SweepSpec:
                     )
         elif key == "strategy":
             for v in values:
-                try:
-                    parse_strategy_value(v)
-                except ValueError as exc:
-                    raise ScenarioParseError(path, lineno, v, str(exc)) from None
+                check_strategy(*parse_strategy_value(v, path, lineno), path, lineno, v)
         elif key == "faults":
             for v in values:
                 if v == "none":

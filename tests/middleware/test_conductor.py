@@ -62,6 +62,21 @@ class TestDiscoveryAndHeartbeat:
         )
         assert avg == pytest.approx(20.0, abs=5.0)
 
+    def test_heartbeat_period_is_policy_interval(self):
+        """The information policy is ``PolicyConfig.heartbeat_interval``,
+        jittered by at most ``heartbeat_jitter`` (10%)."""
+        cluster, conductors = build_balanced_cluster(heartbeat_interval=2.5)
+        tracer = cluster.env.enable_tracing()
+        run_for(cluster, 20.0)
+        times = [
+            e.time
+            for e in tracer.events
+            if e.name == "cond.heartbeat" and e.fields["node"] == "node1"
+        ]
+        assert len(times) >= 6
+        for a, b in zip(times, times[1:]):
+            assert 2.25 - 1e-9 <= b - a <= 2.75 + 1e-9
+
     def test_install_is_idempotent(self):
         cluster, conductors = build_balanced_cluster()
         again = install_conductor(
@@ -206,7 +221,7 @@ class TestReserveProtocol:
         cluster, conductors = build_balanced_cluster()
         run_for(cluster, 0.5)
         target = conductors[1]
-        assert target.slot.try_reserve("someone")
+        assert target.admission.try_reserve("someone")
         replies = []
 
         def ask():
@@ -241,5 +256,5 @@ class TestReserveProtocol:
 
         cluster.env.process(ask())
         run_for(cluster, 0.5)
-        assert not conductors[1].slot.busy
-        assert not conductors[1].slot.calming  # aborted, no calm-down
+        assert not conductors[1].admission.busy
+        assert not conductors[1].admission.calming  # aborted, no calm-down

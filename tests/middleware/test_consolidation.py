@@ -1,143 +1,144 @@
-"""Tests for the power-management consolidation extension."""
-
-import pytest
+"""Power management by consolidation: the ``consolidate`` strategy
+running on real conductors (drain, sleep, wake, and the planner's
+admission / veto / retry machinery)."""
 
 from repro.cluster import build_cluster
 from repro.core import LiveMigrationConfig
-from repro.middleware import (
-    ConductorConfig,
-    ConsolidationConfig,
-    Consolidator,
-    install_conductor,
-)
+from repro.faults import FaultPlan, NodeCrash, install_faults
+from repro.middleware import ConductorConfig
 from repro.testing import run_for
 
 
-def build(n_nodes=3, with_conductors=True, **consolidation_kw):
+def build(n_nodes=3, **params):
     cluster = build_cluster(n_nodes=n_nodes, with_db=False)
-    procs_by_node = {n.name: [] for n in cluster.nodes}
-
-    if with_conductors:
-        scan = [n.local_ip for n in cluster.nodes]
-        for node in cluster.nodes:
-            install_conductor(
-                node, scan, cluster.node_by_local_ip,
-                ConductorConfig(migration=LiveMigrationConfig(initial_round_timeout=0.08)),
-            )
+    conductors = cluster.install_balancers(
+        ConductorConfig(
+            migration=LiveMigrationConfig(initial_round_timeout=0.08),
+            strategy="consolidate",
+            strategy_params=params,
+        )
+    )
 
     def spawn(node, demand, name):
         proc = node.kernel.spawn_process(name)
         proc.address_space.mmap(16)
         node.kernel.cpu.set_demand(proc, demand)
-        procs_by_node[node.name].append(proc)
-        if with_conductors:
-            node.daemons["conductor"].manage(proc)
+        node.daemons["conductor"].manage(proc)
         return proc
 
-    def resolve(host):
-        return [p for p in host.kernel.processes.values() if p.name.startswith("w")]
+    return cluster, conductors, spawn
 
-    cons = Consolidator(
-        cluster.nodes, resolve, ConsolidationConfig(**consolidation_kw)
-    )
-    return cluster, cons, spawn
+
+def asleep(conductors):
+    return [c.host.name for c in conductors if c.asleep]
+
+
+def workers(node):
+    return [p for p in node.kernel.processes.values() if p.name.startswith("w")]
 
 
 class TestConsolidator:
     def test_idle_node_drained_and_slept(self):
-        cluster, cons, spawn = build()
-        # Light load everywhere: node3 has one small process.
-        spawn(cluster.nodes[0], 0.4, "w0")
-        spawn(cluster.nodes[1], 0.4, "w1")
-        spawn(cluster.nodes[2], 0.2, "w2")
+        cluster, conductors, spawn = build()
+        spawn(cluster.nodes[0], 0.4, "w0")  # 20%
+        spawn(cluster.nodes[1], 0.4, "w1")  # 20%
+        spawn(cluster.nodes[2], 0.2, "w2")  # 10%: drained first
         run_for(cluster, 30.0)
-        assert cons.nodes_asleep() >= 1
-        slept = {e.node for e in cons.events if e.action == "sleep"}
-        assert slept
-        # Every process still running somewhere awake.
-        for node in cluster.nodes:
-            if node.name in cons.sleeping:
-                assert not [
-                    p for p in node.kernel.processes.values()
-                    if p.name.startswith("w")
-                ]
+        assert "node3" in asleep(conductors)
+        # Every process still runs, on an awake node that manages it.
+        for cond in conductors:
+            assert len(workers(cond.host)) == len(cond.managed)
+        assert sum(len(c.managed) for c in conductors) == 3
 
     def test_no_consolidation_when_busy(self):
-        cluster, cons, spawn = build(low_watermark=30.0)
+        cluster, conductors, spawn = build(low=30.0)
         for i, node in enumerate(cluster.nodes):
             spawn(node, 1.6, f"w{i}")  # 80% each
         run_for(cluster, 20.0)
-        assert cons.nodes_asleep() == 0
-        assert not [e for e in cons.events if e.action == "migrate"]
+        assert asleep(conductors) == []
+        assert not [e for c in conductors for e in c.events]
 
     def test_target_cap_respected(self):
-        cluster, cons, spawn = build(target_cap=70.0)
+        cluster, conductors, spawn = build(cap=70.0)
         spawn(cluster.nodes[0], 1.2, "w0")  # 60%
         spawn(cluster.nodes[1], 1.2, "w1")  # 60%
-        spawn(cluster.nodes[2], 0.6, "w2")  # 30% -> drain candidate (30% add)
+        spawn(cluster.nodes[2], 0.6, "w2")  # 30% -> drain candidate
         run_for(cluster, 30.0)
         # Moving w2 (30%) onto a 60% node would exceed the 70% cap, so
         # nothing may be drained.
-        assert cons.nodes_asleep() == 0
+        assert asleep(conductors) == []
         for node in cluster.nodes:
             assert node.kernel.cpu.utilization() <= 70.0 + 1e-6
 
     def test_wake_on_load_rise(self):
-        cluster, cons, spawn = build(wake_watermark=60.0)
-        w0 = spawn(cluster.nodes[0], 0.3, "w0")
+        cluster, conductors, spawn = build(wake=60.0)
+        spawn(cluster.nodes[0], 0.3, "w0")
         spawn(cluster.nodes[1], 0.3, "w1")
         spawn(cluster.nodes[2], 0.1, "w2")
-        run_for(cluster, 30.0)
-        assert cons.nodes_asleep() >= 1
-        # Load spikes on the awake nodes.
+        run_for(cluster, 40.0)
+        assert len(asleep(conductors)) == 2
+        # Load spikes on the one awake node: it sheds onto sleepers.
         for node in cluster.nodes:
-            for p in node.kernel.processes.values():
-                if p.name.startswith("w"):
-                    node.kernel.cpu.set_demand(p, 1.8)
-        run_for(cluster, 10.0)
-        assert cons.nodes_asleep() == 0
-        assert [e for e in cons.events if e.action == "wake"]
+            for p in workers(node):
+                node.kernel.cpu.set_demand(p, 1.8)
+        run_for(cluster, 30.0)
+        assert asleep(conductors) == []
 
     def test_migrations_are_live(self):
-        cluster, cons, spawn = build()
+        cluster, conductors, spawn = build()
         spawn(cluster.nodes[0], 0.4, "w0")
         spawn(cluster.nodes[1], 0.4, "w1")
         spawn(cluster.nodes[2], 0.2, "w2")
         run_for(cluster, 30.0)
-        migrates = [e for e in cons.events if e.action == "migrate"]
-        assert migrates
-        assert all("ms freeze" in e.detail for e in migrates)
+        events = [e for c in conductors for e in c.events]
+        assert events
+        assert all(e.success and e.freeze_time is not None for e in events)
 
     def test_disabled_consolidator_is_inert(self):
-        cluster, cons, spawn = build()
-        cons.enabled = False
-        spawn(cluster.nodes[2], 0.1, "w2")
-        run_for(cluster, 20.0)
-        assert cons.events == []
-
-    def test_works_without_conductors(self):
-        cluster, cons, spawn = build(with_conductors=False)
+        cluster, conductors, spawn = build()
+        for cond in conductors:
+            cond.enabled = False
         spawn(cluster.nodes[0], 0.4, "w0")
         spawn(cluster.nodes[2], 0.1, "w2")
-        run_for(cluster, 30.0)
-        assert cons.nodes_asleep() >= 1
+        run_for(cluster, 20.0)
+        assert not [e for c in conductors for e in c.events]
 
     def test_conductor_slot_shared_with_balancer(self):
-        """While another actor holds the drain candidate's slot,
-        consolidation backs off; it proceeds once the slot frees."""
-        cluster, cons, spawn = build()
-        # A worker on every node so no node is trivially empty; node3
-        # is the clear drain candidate.
+        """While another actor holds the drain candidate's admission,
+        the drain backs off; it proceeds once the admission frees."""
+        cluster, conductors, spawn = build()
         spawn(cluster.nodes[0], 0.4, "w0")
         spawn(cluster.nodes[1], 0.4, "w1")
         spawn(cluster.nodes[2], 0.1, "w2")
-        cluster.nodes[2].daemons["conductor"].slot.try_reserve("balancer")
+        conductors[2].admission.try_reserve("balancer")
         run_for(cluster, 15.0)
-        assert cons.nodes_asleep() == 0
-        cluster.nodes[2].daemons["conductor"].slot.release("balancer", False)
+        assert asleep(conductors) == []
+        conductors[2].admission.release("balancer", False)
         run_for(cluster, 15.0)
-        assert "node3" in cons.sleeping
+        assert "node3" in asleep(conductors)
 
-    def test_empty_hosts_rejected(self):
-        with pytest.raises(ValueError):
-            Consolidator([], lambda h: [])
+    def test_crashed_candidate_vetoed_or_retried(self):
+        """The most-loaded receiver crashes just as the drain starts:
+        the conductor's retry/veto path lands the drain on the next
+        candidate instead of retrying the dead node forever."""
+        cluster, conductors, spawn = build()
+        spawn(cluster.nodes[0], 1.0, "w0")  # 50%: first-ranked receiver
+        spawn(cluster.nodes[1], 0.6, "w1")  # 30%
+        spawn(cluster.nodes[2], 0.2, "w2")  # 10%: drains
+        tracer = cluster.env.enable_tracing()
+        conductors[2].enabled = False  # loads settle first
+        run_for(cluster, 5.0)
+        install_faults(cluster, FaultPlan([NodeCrash(cluster.env.now, "node1")]))
+        conductors[2].enabled = True
+        run_for(cluster, 20.0)
+        assert "node3" in asleep(conductors)
+        assert [p.name for p in workers(cluster.nodes[1])] == ["w1", "w2"]
+        assert len(workers(cluster.nodes[0])) == 1
+        names = {e.name for e in tracer.events}
+        assert names & {"recover.skip", "recover.retry"}
+        outcomes = [
+            e.fields["outcome"]
+            for e in tracer.events
+            if e.name == "plan.outcome" and e.fields["node"] == "node3"
+        ]
+        assert outcomes[-1] in ("executed", "retried")

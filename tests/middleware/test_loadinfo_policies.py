@@ -3,7 +3,6 @@
 import pytest
 
 from repro.middleware import (
-    InformationPolicy,
     LoadInfo,
     LocationPolicy,
     PeerDatabase,
@@ -180,8 +179,3 @@ class TestSelectionPolicy:
     def test_empty(self):
         assert SelectionPolicy(PolicyConfig()).choose(10.0, []) is None
 
-
-class TestInformationPolicy:
-    def test_interval(self):
-        p = InformationPolicy(PolicyConfig(heartbeat_interval=2.5))
-        assert p.interval == 2.5

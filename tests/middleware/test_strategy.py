@@ -10,12 +10,18 @@ from repro.middleware import (
     BalanceToAverageStrategy,
     ClusterModel,
     ConductorConfig,
+    ConsolidateStrategy,
     CycleAwareStrategy,
+    LargestProcessSelectionPolicy,
+    LeastLoadedLocationPolicy,
     LoadInfo,
+    LocationPolicy,
     MigrationAction,
     NodeView,
     PaperThresholdStrategy,
     PolicyConfig,
+    RandomLocationPolicy,
+    SelectionPolicy,
     make_strategy,
     register_strategy,
 )
@@ -240,12 +246,212 @@ class TestCycleAwareStrategy:
         assert strat.revalidate(action, hot)
 
 
+def names(action):
+    return [c.node_name for c in action.candidates]
+
+
+class TestConsolidateStrategy:
+    """Rules: asleep = manages no process; wake = an awake node above
+    ``wake``; power mode = no wake, >= 2 awake, awake mean below ``low``."""
+
+    def test_power_mode_drains_least_loaded_node_largest_share_first(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        model = model_of(
+            10.0,
+            [peer("node2", 2, 20.0, ts=99.0), peer("node3", 3, 30.0, ts=99.0)],
+            [(FakeProc(1), 4.0), (FakeProc(2), 6.0)],
+        )
+        plan = strat.plan(model)
+        assert plan.strategy == "consolidate"
+        assert [a.proc.pid for a in plan.actions] == [2, 1]
+        assert [a.score for a in plan.actions] == [6.0, 4.0]
+        # Most-loaded awake peer first: fill it, keep the other awake.
+        for action in plan.actions:
+            assert names(action) == ["node3", "node2"]
+
+    def test_candidates_stay_within_cap_on_projected_load(self):
+        strat = ConsolidateStrategy(PolicyConfig(), cap=40.0)
+        model = model_of(
+            10.0,
+            [peer("node2", 2, 20.0, ts=99.0), peer("node3", 3, 30.0, ts=99.0)],
+            [(FakeProc(1), 8.0), (FakeProc(2), 6.0)],
+        )
+        first, second = strat.plan(model).actions
+        assert names(first) == ["node3", "node2"]  # 30 + 8 <= 40
+        # node3 is now projected at 38: another 6 would pass the cap.
+        assert names(second) == ["node2"]
+
+    def test_drain_never_pushes_a_receiver_past_wake(self):
+        strat = ConsolidateStrategy(PolicyConfig(), cap=75.0, wake=65.0)
+        model = model_of(
+            5.0,
+            [peer("node2", 2, 60.0, ts=99.0), peer("node3", 3, 20.0, ts=99.0)],
+            [(FakeProc(1), 5.0), (FakeProc(2), 3.0)],
+        )
+        plan = strat.plan(model)
+        assert [names(a) for a in plan.actions] == [
+            ["node2", "node3"],  # 60 + 5 = 65: at wake, not above
+            ["node3"],
+        ]
+
+    def test_drain_that_cannot_empty_the_node_is_not_started(self):
+        strat = ConsolidateStrategy(PolicyConfig(), cap=45.0)
+        model = model_of(
+            30.0,
+            [peer("node2", 2, 31.0, ts=99.0), peer("node3", 3, 32.0, ts=99.0)],
+            [(FakeProc(1), 28.0), (FakeProc(2), 2.0)],
+        )
+        assert not strat.plan(model)
+
+    def test_only_the_least_loaded_awake_node_plans(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        # node3 is lighter: node1 waits (balancing pauses too).  The
+        # asleep node4 is lightest of all but manages nothing.
+        model = model_of(
+            20.0,
+            [
+                peer("node2", 2, 30.0, ts=99.0),
+                peer("node3", 3, 10.0, ts=99.0),
+                peer("node4", 4, 0.0, nprocs=0, ts=99.0),
+            ],
+            [(FakeProc(1), 20.0)],
+        )
+        assert not strat.plan(model)
+
+    def test_load_ties_go_by_node_name(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        shares = [(FakeProc(1), 10.0)]
+        first = model_of(10.0, [peer("node2", 2, 10.0, ts=99.0)], shares)
+        assert len(strat.plan(first)) == 1  # node1 < node2
+        second = model_of(10.0, [peer("node0", 9, 10.0, ts=99.0)], shares)
+        assert not strat.plan(second)  # node0 < node1
+
+    def test_one_awake_node_is_not_power_mode(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        model = model_of(
+            10.0,
+            [peer("node2", 2, 0.0, nprocs=0, ts=99.0)],
+            [(FakeProc(1), 10.0)],
+        )
+        assert not strat.plan(model)
+
+    def test_wake_condition_offers_asleep_peers_as_receivers(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        model = model_of(
+            95.0,
+            [
+                peer("node2", 2, 0.0, nprocs=0, ts=99.0),
+                peer("node3", 3, 40.0, ts=99.0),
+            ],
+            [(FakeProc(1), 45.0), (FakeProc(2), 50.0)],
+        )
+        plan = strat.plan(model)
+        inner = PaperThresholdStrategy(PolicyConfig()).plan(model)
+        assert [a.proc.pid for a in plan.actions] == [
+            a.proc.pid for a in inner.actions
+        ]
+        assert names(plan.actions[0]) == names(inner.actions[0])
+        assert "node2" in names(plan.actions[0])  # moving there wakes it
+
+    def test_outside_power_mode_asleep_peers_are_not_receivers(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        # Awake mean (60 + 30) / 2 = 45: not power mode, nobody above
+        # wake.  The inner rule balances the awake pair only.
+        model = model_of(
+            60.0,
+            [
+                peer("node2", 2, 0.0, nprocs=0, ts=99.0),
+                peer("node3", 3, 30.0, ts=99.0),
+            ],
+            [(FakeProc(1), 15.0), (FakeProc(2), 45.0)],
+        )
+        plan = strat.plan(model)
+        assert len(plan) == 1
+        assert plan.actions[0].proc.pid == 1  # matched to the awake excess
+        assert names(plan.actions[0]) == ["node3"]
+        inner = PaperThresholdStrategy(PolicyConfig()).plan(model)
+        assert "node2" in names(inner.actions[0])  # what the filter prevents
+
+    def test_all_awake_and_busy_is_the_inner_strategy(self):
+        strat = ConsolidateStrategy(PolicyConfig())
+        model = model_of(
+            80.0,
+            [peer("node2", 2, 10.0, ts=99.0), peer("node3", 3, 40.0, ts=99.0)],
+            [(FakeProc(1, "small"), 10.0), (FakeProc(2, "match"), 40.0)],
+        )
+        plan = strat.plan(model)
+        inner = PaperThresholdStrategy(PolicyConfig()).plan(model)
+        assert [(a.proc.pid, names(a), a.score) for a in plan.actions] == [
+            (a.proc.pid, names(a), a.score) for a in inner.actions
+        ]
+
+
+class TestPaperThresholdParams:
+    def model(self):
+        return model_of(
+            80.0,
+            [
+                peer("node2", 2, 30.0, ts=99.0),
+                peer("node3", 3, 10.0, ts=99.0),
+                peer("node4", 4, 20.0, ts=99.0),
+            ],
+            [(FakeProc(1), 8.0), (FakeProc(2), 25.0), (FakeProc(3), 45.0)],
+        )
+
+    def make(self, rng=None, **params):
+        cfg = ConductorConfig(strategy_params=params)
+        return make_strategy("paper-threshold", cfg, rng)
+
+    def test_defaults_are_the_paper_policies(self):
+        strat = self.make()
+        assert type(strat.location) is LocationPolicy
+        assert type(strat.selection) is SelectionPolicy
+
+    def test_least_loaded_and_largest_rank_like_the_baselines(self):
+        model = self.model()
+        plan = self.make(location="least-loaded", selection="largest").plan(model)
+        policies = PolicyConfig()
+        expected_proc = LargestProcessSelectionPolicy(policies).choose(
+            max(model.overload, policies.min_share), model.shares
+        )
+        expected = LeastLoadedLocationPolicy(policies).choose(
+            model.local.cpu_percent, model.average, model.peer_infos
+        )
+        (action,) = plan.actions
+        assert action.proc is expected_proc
+        assert action.proc.pid == 3
+        assert list(action.candidates) == expected
+        assert names(action) == ["node3", "node4", "node2"]
+
+    def test_random_location_draws_from_the_strategy_rng(self):
+        import numpy as np
+
+        model = self.model()
+        plan = self.make(np.random.default_rng(5), location="random").plan(model)
+        expected = RandomLocationPolicy(
+            PolicyConfig(), np.random.default_rng(5)
+        ).choose(model.local.cpu_percent, model.average, model.peer_infos)
+        assert list(plan.actions[0].candidates) == expected
+
+    @pytest.mark.parametrize(
+        "params, known",
+        [
+            ({"location": "closest"}, "paper, least-loaded, random"),
+            ({"selection": "smallest"}, "matched, largest"),
+        ],
+    )
+    def test_unknown_values_name_the_known_ones(self, params, known):
+        with pytest.raises(ValueError, match=f"known: {known}"):
+            self.make(**params)
+
+
 class TestRegistry:
     def test_known_strategies_registered(self):
         for name in (
             "paper-threshold",
             "workload-balance-to-average",
             "cycle-aware",
+            "consolidate",
         ):
             assert name in STRATEGIES
 
@@ -302,3 +508,18 @@ class TestEnvironmentIndependence:
         before = env.now
         strat.plan(model)
         assert env.now == before
+
+    @pytest.mark.parametrize("local", [90.0, 60.0, 5.0], ids=["wake", "balance", "drain"])
+    def test_consolidate_consumes_no_env(self, local):
+        """Every consolidate branch leaves the clock and the model it
+        was handed untouched (asleep peers are filtered on a copy)."""
+        env = Environment()
+        model = model_of(
+            local,
+            [peer("node2", 2, 15.0, ts=99.0), peer("node3", 3, 0.0, nprocs=0)],
+            [(FakeProc(1), 5.0)],
+        )
+        snapshot = (list(model.peers), list(model.peer_infos), model.average)
+        assert ConsolidateStrategy(PolicyConfig()).plan(model) is not None
+        assert env.now == 0.0
+        assert (list(model.peers), list(model.peer_infos), model.average) == snapshot

@@ -110,6 +110,27 @@ class TestSpec:
         with pytest.raises(ScenarioParseError, match=match):
             parse_sweep(text)
 
+    @pytest.mark.parametrize(
+        "old, new, lineno, token, reason",
+        [
+            ("| workload", "| nope:band=22 | workload", 5, "nope:band=22", "unknown strategy"),
+            ("band=22", "bandd=22", 5, "workload-balance-to-average:bandd=22", "'bandd'"),
+            ("band=22", "band", 5, "band", "key=value"),
+            (
+                "quick_duration = 30",
+                "quick_duration = 30\nstrategy_params = location=closest",
+                11,
+                "location=closest",
+                "known: paper",
+            ),
+        ],
+    )
+    def test_bad_strategy_is_a_located_parse_error(self, old, new, lineno, token, reason):
+        with pytest.raises(ScenarioParseError) as err:
+            parse_sweep(MINI_INLINE.replace(old, new), path="s.sweep")
+        assert (err.value.lineno, err.value.token) == (lineno, token)
+        assert reason in err.value.reason
+
 
 class TestMergeDoc:
     def _doc(self, tmp_path):
@@ -233,6 +254,14 @@ class TestCLI:
         bad.write_text("[sweep]\nname = x\n[matrix]\nbogus = 1\n")
         assert main(["run", str(bad)]) == 2
         assert "unknown matrix axis" in capsys.readouterr().err
+
+    def test_bad_strategy_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.sweep"
+        bad.write_text(MINI_INLINE.replace("band=22", "bandd=22"))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:5:workload-balance-to-average:bandd=22:" in err
+        assert not (tmp_path / "out").exists()
 
     def test_slo_failure_exits_1_unless_ungated(self, tmp_path, capsys):
         text = MINI_INLINE.replace(
