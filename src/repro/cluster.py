@@ -19,6 +19,8 @@ from .oskern import CostModel, Host
 
 __all__ = ["ClusterConfig", "Cluster", "build_cluster"]
 
+DB_HOST_NAME = "dbserver"
+
 
 @dataclass
 class ClusterConfig:
@@ -43,6 +45,19 @@ class ClusterConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     #: Router class; swap in UnicastRouter for the NAT negative control.
     broadcast: bool = True
+
+    def node_addresses(self) -> list[tuple[str, str]]:
+        """``(name, local IP)`` of each server node, in build order."""
+        return [
+            (f"node{i}", f"{self.local_subnet}{i}")
+            for i in range(1, self.n_nodes + 1)
+        ]
+
+    def host_names(self) -> list[str]:
+        """Names of the hosts with a cluster-side link: the server
+        nodes, then the database host when there is one."""
+        names = [name for name, _ in self.node_addresses()]
+        return names + [DB_HOST_NAME] if self.with_db else names
 
 
 class Cluster:
@@ -69,9 +84,8 @@ class Cluster:
         self.db: Optional[Host] = None
 
         jiffies_rng = self.rng.stream("jiffies")
-        for i in range(cfg.n_nodes):
-            name = f"node{i + 1}"
-            local_ip = IPAddr(f"{cfg.local_subnet}{i + 1}")
+        for name, ip in cfg.node_addresses():
+            local_ip = IPAddr(ip)
             node = Host(
                 self.env,
                 name,
@@ -106,7 +120,7 @@ class Cluster:
             db_ip = IPAddr(f"{cfg.local_subnet}{cfg.db_host_octet}")
             self.db = Host(
                 self.env,
-                "dbserver",
+                DB_HOST_NAME,
                 local_ip=db_ip,
                 cores=cfg.cores,
                 jiffies_offset=int(jiffies_rng.integers(0, cfg.jiffies_spread)),
@@ -118,7 +132,7 @@ class Cluster:
             )
             self.switch.add_port(db_ip, db_link)
             self.db.local_iface.connect(db_link, side=1)
-            self.local_links["dbserver"] = db_link
+            self.local_links[DB_HOST_NAME] = db_link
             from .core.translation import install_transd
 
             install_transd(self.db)

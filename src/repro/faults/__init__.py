@@ -6,7 +6,7 @@ this package breaks.
 """
 
 from .dsl import parse_fault, parse_plan
-from .injector import FaultInjector, install_faults
+from .injector import FaultInjector, check_target, install_faults
 from .plan import (
     MIGD_PHASES,
     Fault,
@@ -32,6 +32,7 @@ __all__ = [
     "MigdAbort",
     "MigdAbortInjected",
     "MIGD_PHASES",
+    "check_target",
     "install_faults",
     "parse_fault",
     "parse_plan",

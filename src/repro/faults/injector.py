@@ -43,10 +43,10 @@ from .plan import (
 )
 
 if TYPE_CHECKING:
-    from ..cluster import Cluster
+    from ..cluster import Cluster, ClusterConfig
     from ..core.session import MigrationSession
 
-__all__ = ["FaultInjector", "install_faults"]
+__all__ = ["FaultInjector", "check_target", "install_faults"]
 
 
 class FaultInjector:
@@ -93,6 +93,8 @@ class FaultInjector:
             raise RuntimeError("fault injector already armed")
         if self.env.faults is not None:
             raise RuntimeError("environment already has an armed fault injector")
+        for fault in self.plan:
+            check_target(fault, self.cluster.config)
         self._armed = True
         self.env.faults = self
 
@@ -112,7 +114,7 @@ class FaultInjector:
                 raise TypeError(f"injector cannot deliver {fault!r}")
 
         for target, faults in self._link_faults.items():
-            link = self._resolve_link(target)
+            link = self.cluster.local_links[target]
             link.set_fault_filter(self._make_filter(link, faults))
             self._filtered_links.append(link)
 
@@ -136,22 +138,12 @@ class FaultInjector:
             self.env.faults = None
 
     # -- resolution -----------------------------------------------------------
-    def _resolve_link(self, target: str) -> Link:
-        """A link target names the owning cluster host (``node2`` or
-        ``dbserver``); the fault acts on that host's local link."""
-        link = self.cluster.local_links.get(target)
-        if link is None:
-            known = ", ".join(sorted(self.cluster.local_links))
-            raise ValueError(f"unknown link target {target!r} (known: {known})")
-        return link
-
     def _resolve_host(self, target: str):
         if self.cluster.db is not None and target == self.cluster.db.name:
             return self.cluster.db
-        for node in self.cluster.nodes:
-            if node.name == target or str(node.local_ip) == target:
-                return node
-        raise ValueError(f"unknown node target {target!r}")
+        return next(
+            n for n in self.cluster.nodes if target in (n.name, str(n.local_ip))
+        )
 
     # -- delivery: announcements ---------------------------------------------
     def _record_injection(self, fault: Fault, **extra) -> int:
@@ -310,6 +302,25 @@ class FaultInjector:
                 # The session's next records (ABORTED transition,
                 # mig.abort) chain back to the injected fault.
                 session.causal_ref = abort_ref
+
+
+def check_target(fault: Fault, config: "ClusterConfig") -> None:
+    """Raise ``ValueError`` unless a cluster built from ``config`` has
+    ``fault``'s target: a node fault names a host or a server node's
+    local IP, a link fault the host that owns the link.  Migd targets
+    name sessions, which only exist at run time, and pass.
+    :meth:`FaultInjector.arm` checks every fault this way, and campaign
+    files check theirs at parse time."""
+    if fault.scope == "migd":
+        return
+    known = config.host_names()
+    if fault.scope == "node":
+        known += [ip for _, ip in config.node_addresses()]
+    if fault.target not in known:
+        raise ValueError(
+            f"unknown {fault.scope} target {fault.target!r} "
+            f"(known: {', '.join(known)})"
+        )
 
 
 def install_faults(cluster: "Cluster", plan: FaultPlan, rng=None) -> FaultInjector:

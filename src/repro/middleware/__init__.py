@@ -44,7 +44,7 @@ from .strategy import (
     make_strategy,
     register_strategy,
 )
-from .twophase import MigrationAdmission, MigrationSlot
+from .twophase import MigrationAdmission
 
 __all__ = [
     "LoadInfo",
@@ -58,7 +58,6 @@ __all__ = [
     "SelectionPolicy",
     "LargestProcessSelectionPolicy",
     "MigrationAdmission",
-    "MigrationSlot",
     "Conductor",
     "ConductorConfig",
     "MigrationEvent",

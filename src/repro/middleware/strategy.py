@@ -8,17 +8,19 @@ loop.  This module splits it into three replaceable layers:
   latest heartbeats (with the *staleness guard* applied — peers whose
   heartbeat is older than ``ConductorConfig.plan_staleness`` are
   reported but never ranked), failure-detector verdicts, per-process
-  CPU shares, admission headroom and a rolling per-node load history.
+  CPU shares and a rolling per-node load history.
 - :class:`Strategy` — consumes a model, emits a ranked
   :class:`MigrationPlan` of :class:`MigrationAction`\\ s
   ``(proc, source, candidates, score, not_before)``.  Strategies are
   *pure* deciders: they never touch sockets, admission or the wire.
 - :class:`Planner` — executes plans through the conductor's existing
-  machinery: capacity-N admission, failure-detector veto, two-phase
-  reserve and retry-with-backoff.  Actions whose ``not_before`` lies in
-  the future are parked and re-validated when due; actions racing
-  admission exhaustion are dropped (and show up in the ``planner.*``
-  counters / ``plan.*`` trace events rather than silently vanishing).
+  machinery, one blocking migration at a time: the single admission
+  slot, failure-detector veto, two-phase reserve and retry-with-backoff.
+  Actions whose ``not_before`` lies in the future are parked and
+  re-validated when due; actions that find the slot taken (a committed
+  migration's calm-down, or an inbound reserve) are dropped (and show
+  up in the ``planner.*`` counters / ``plan.*`` trace events rather than
+  silently vanishing).
 
 Four strategies ship in the registry:
 
@@ -86,6 +88,8 @@ __all__ = [
 #: Samples of per-node load history the planner retains for strategies
 #: (at one sample per balance round, ~4 minutes at the default period).
 HISTORY_SAMPLES = 256
+#: How many ranked receiver candidates the planner tries per action.
+MAX_CANDIDATES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +137,8 @@ class ClusterModel:
     peer_infos: list[LoadInfo]
     #: Approximated cluster-wide average CPU including this node.
     average: float
-    #: ``(process, cpu-share %)`` for migratable local processes
-    #: (managed, not already outbound).
+    #: ``(process, cpu-share %)`` for the managed local processes.
     shares: list[tuple["SimProcess", float]]
-    #: Admission units a plan may consume this round (always >= 1 when
-    #: the planner consults the strategy at all).
-    max_actions: int
-    #: Capacity-1 conductors run one blocking migration per round.
-    sequential: bool
     config: PolicyConfig
     #: Per-node rolling ``(time, cpu%)`` samples, newest last.  The
     #: local node's series is sampled every balance round; peers at
@@ -240,13 +238,13 @@ class Strategy:
 class PaperThresholdStrategy(Strategy):
     """The paper's Section-IV decision loop, as a strategy.
 
-    Extracted from the old ``Conductor._balance_loop`` /
-    ``_launch_batch`` so that the default configuration reproduces the
-    pre-refactor behaviour — and traces — byte-identically: the same
-    transfer-threshold gate, the same selection-then-location policy
-    evaluation order (which also preserves rng draw order for
-    stochastic policy overrides), the same batch bookkeeping against
-    remaining admission capacity.
+    Extracted from the old ``Conductor._balance_loop`` so that the
+    default configuration reproduces the pre-refactor behaviour — and
+    traces — byte-identically: the same transfer-threshold gate and the
+    same selection-then-location policy evaluation order (which also
+    preserves rng draw order for stochastic policy overrides).  One
+    action per round: the process whose share best matches the excess,
+    ranked over the location policy's receivers.
     """
 
     name = "paper-threshold"
@@ -272,42 +270,15 @@ class PaperThresholdStrategy(Strategy):
         if not self.transfer.should_initiate(local, average):
             return plan
         target_diff = local - average
-        if model.sequential:
-            # Paper semantics: one migration per balance round.
-            proc = self.selection.choose(
-                max(target_diff, cfg.min_share), model.shares
-            )
-            if proc is None:
-                return plan
-            candidates = self.location.choose(local, average, model.peer_infos)
-            plan.actions.append(
-                MigrationAction(
-                    proc,
-                    model.local.name,
-                    tuple(candidates),
-                    score=target_diff,
-                )
-            )
+        proc = self.selection.choose(max(target_diff, cfg.min_share), model.shares)
+        if proc is None:
             return plan
-        # Batch mode: up to the admission headroom actions, repeatedly
-        # picking the process that best matches the *remaining* excess.
-        remaining = target_diff
-        avail = list(model.shares)
-        for _ in range(model.max_actions):
-            proc = self.selection.choose(max(remaining, cfg.min_share), avail)
-            if proc is None:
-                return plan
-            candidates = self.location.choose(local, average, model.peer_infos)
-            if not candidates:
-                return plan
-            share = next(s for p, s in avail if p is proc)
-            remaining -= share
-            avail = [(p, s) for p, s in avail if p is not proc]
-            plan.actions.append(
-                MigrationAction(
-                    proc, model.local.name, tuple(candidates), score=share
-                )
+        candidates = self.location.choose(local, average, model.peer_infos)
+        plan.actions.append(
+            MigrationAction(
+                proc, model.local.name, tuple(candidates), score=target_diff
             )
+        )
         return plan
 
 
@@ -768,12 +739,12 @@ class Planner:
 
     One per conductor.  Each balance round it snapshots a
     :class:`ClusterModel`, consults the strategy, and walks the plan's
-    actions in rank order: due actions run through the conductor's
-    two-phase reserve / detector veto / retry path, future-dated
-    actions are parked until ``not_before``, and actions that race
-    admission-capacity exhaustion are dropped and re-planned on a later
-    round.  Every fate is counted (``planner.*``) and, when plan
-    tracing is on, traced (``plan.*``).
+    actions in rank order, one blocking migration at a time: due actions
+    run through the conductor's two-phase reserve / detector veto /
+    retry path, future-dated actions are parked until ``not_before``,
+    and actions that find the admission slot taken are dropped and
+    re-planned on a later round.  Every fate is counted (``planner.*``)
+    and, when plan tracing is on, traced (``plan.*``).
     """
 
     def __init__(self, conductor: "Conductor", strategy: Strategy) -> None:
@@ -789,12 +760,8 @@ class Planner:
         )
         #: ``plan.*`` trace events change the byte stream, so they stay
         #: off for the default strategy (trace byte-identity with the
-        #: pre-planner conductor) unless explicitly requested.
-        self.trace_plans = (
-            cfg.trace_plans
-            if cfg.trace_plans is not None
-            else strategy.name != PaperThresholdStrategy.name
-        )
+        #: pre-planner conductor).
+        self.trace_plans = strategy.name != PaperThresholdStrategy.name
         self._history: dict[str, deque] = {}
         self._deferred: list[MigrationAction] = []
         # planner.* counters.
@@ -854,10 +821,6 @@ class Planner:
             health=ALIVE,
             is_self=True,
         )
-        shares = cond.monitor.process_shares(
-            [p for p in cond.managed if p not in cond._outbound]
-        )
-        sequential = cond.config.admission_capacity == 1
         return ClusterModel(
             now=now,
             local=local_view,
@@ -865,9 +828,7 @@ class Planner:
             stale_peers=[view(i) for i in stale_infos],
             peer_infos=fresh_infos,
             average=average,
-            shares=shares,
-            max_actions=1 if sequential else cond.admission.available,
-            sequential=sequential,
+            shares=cond.monitor.process_shares(cond.managed),
             config=cond.config.policies,
             history={k: tuple(v) for k, v in self._history.items()},
         )
@@ -912,65 +873,28 @@ class Planner:
         self.plans_total += 1
         self.actions_total += len(plan.actions)
         self._trace_plan(plan)
-        if model.sequential:
-            yield from self._execute_sequential(plan.actions, model)
-        else:
-            self._launch_batch(plan.actions)
+        yield from self._execute_sequential(plan.actions, model)
 
     # -- execution ---------------------------------------------------------
     def _execute_sequential(
         self, actions: list[MigrationAction], model: ClusterModel
     ):
         cond = self.cond
-        first = True
         for action in actions:
             if action.not_before > model.now:
                 self._park(action)
                 continue
-            if not first and cond.admission.available <= 0:
-                # Racing our own capacity: a committed migration's
-                # calm-down (or a concurrent inbound reserve) consumed
-                # the admission mid-plan.
+            if not cond.admission.available:
+                # Free when the round began: an earlier action's
+                # calm-down or an inbound reserve has taken it since.
                 self._drop(action, "admission")
                 continue
-            first = False
             outcome = yield from cond._try_migrate(
                 action.proc,
-                list(action.candidates)[: cond.config.max_candidates],
+                list(action.candidates)[:MAX_CANDIDATES],
                 cause=action.causal_ref,
             )
             self._account(action, outcome)
-
-    def _launch_batch(self, actions: list[MigrationAction]) -> None:
-        cond = self.cond
-        for action in actions:
-            if action.not_before > self.env.now:
-                self._park(action)
-                continue
-            if cond.admission.available <= 0:
-                self._drop(action, "admission")
-                continue
-            if not action.candidates:
-                self._drop(action, "no-candidates")
-                continue
-            proc = action.proc
-            cond._outbound.add(proc)
-            self.env.process(
-                self._run_batch_action(action),
-                name=f"cond-session-{proc.pid}",
-            )
-
-    def _run_batch_action(self, action: MigrationAction):
-        cond = self.cond
-        try:
-            outcome = yield from cond._try_migrate(
-                action.proc,
-                list(action.candidates)[: cond.config.max_candidates],
-                cause=action.causal_ref,
-            )
-            self._account(action, outcome)
-        finally:
-            cond._outbound.discard(action.proc)
 
     def _run_due(self, model: ClusterModel):
         """Execute parked actions whose ``not_before`` has arrived."""
@@ -984,7 +908,7 @@ class Planner:
             if not ok:
                 self._drop(action, reason)
                 continue
-            if cond.admission.available <= 0:
+            if not cond.admission.available:
                 self._drop(action, "admission")
                 continue
             # Re-rank for execution time (strategy hook), then drop
@@ -998,7 +922,7 @@ class Planner:
             ]
             outcome = yield from cond._try_migrate(
                 action.proc,
-                candidates[: cond.config.max_candidates],
+                candidates[:MAX_CANDIDATES],
                 cause=action.causal_ref,
             )
             self._account(action, outcome)
@@ -1008,8 +932,6 @@ class Planner:
     ) -> tuple[bool, str]:
         if action.proc not in self.cond.managed:
             return False, "unmanaged"
-        if action.proc in self.cond._outbound:
-            return False, "in-flight"
         live = {info.local_ip for info in model.peer_infos}
         if not any(c.local_ip in live for c in action.candidates):
             return False, "no-candidates"

@@ -353,7 +353,7 @@ def render_plan_report(
     if not plan_events:
         return (
             "(no plan.* records in trace — the default paper-threshold "
-            "strategy traces plans only with ConductorConfig.trace_plans=True)"
+            "strategy does not trace plans; every other strategy does)"
             if strategy is None
             else f"(no plan.* records for strategy {strategy!r} in trace)"
         )

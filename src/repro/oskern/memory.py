@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Union
 
 from .costs import PAGE_SIZE
 
-__all__ = ["VMArea", "AddressSpace", "ExtentSet", "PAGE_SIZE", "extents_of"]
+__all__ = ["VMArea", "AddressSpace", "ExtentSet", "PAGE_SIZE"]
 
 _vma_ids = itertools.count(1)
 
@@ -533,10 +533,6 @@ class AddressSpace:
         for start, end in extents:
             self._absent.add(start, end)
 
-    def mark_present(self, start: int, end: int) -> int:
-        """Mark ``[start, end)`` resident; returns pages newly present."""
-        return self._absent.remove(start, end)
-
     def absent_in(self, start: int, end: int) -> list[tuple[int, int]]:
         """Absent runs clipped to ``[start, end)``."""
         return self._absent.intersect(start, end) if self._absent else []
@@ -591,10 +587,6 @@ class AddressSpace:
     def total_bytes(self) -> int:
         return self.total_pages * PAGE_SIZE
 
-    def iter_pages(self) -> Iterator[int]:
-        for area in self.vmas:
-            yield from area.pages()
-
     def content_snapshot(self) -> dict[int, int]:
         """vpn -> version for every mapped page (test/restore helper)."""
         self._flush_versions()
@@ -643,11 +635,6 @@ class AddressSpace:
         self.map_version += 1
         if self.vmas:
             self._next_free_page = max(a.end for a in self.vmas) + 16
-
-
-def extents_of(vpns: list[int]) -> list[tuple[int, int]]:
-    """Coalesce a page-number list into sorted ``(start, end)`` runs."""
-    return list(_coalesce(vpns))
 
 
 def _coalesce(vpns: list[int]) -> Iterator[tuple[int, int]]:

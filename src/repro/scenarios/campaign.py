@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..faults import FaultPlan
+from ..faults import Fault, FaultPlan, check_target
 from ..obs.slo import SLOReport, evaluate_slos, parse_rule
 from .driver import ScenarioDriver
 from .dsl import ScenarioParseError, parse_scenario
@@ -54,6 +54,7 @@ __all__ = [
     "parse_campaign",
     "parse_strategy_value",
     "check_strategy",
+    "check_fault_target",
     "run_campaign",
     "NAMED_CAMPAIGNS",
     "campaign_names",
@@ -202,6 +203,25 @@ def check_strategy(
         raise ScenarioParseError(path, lineno, token, str(exc)) from None
 
 
+def _cluster_config(nodes: int, seed: int = 42):
+    """The testbed a campaign runs on: ``nodes`` servers, no DB host."""
+    from ..cluster import ClusterConfig
+
+    return ClusterConfig(n_nodes=nodes, with_db=False, master_seed=seed)
+
+
+def check_fault_target(
+    fault: Fault, nodes: int, path: str, lineno: int
+) -> None:
+    """A fault aimed at a host or link the campaign's ``nodes``-server
+    cluster will not have is a located :class:`ScenarioParseError` at
+    parse time, not a traceback mid-run."""
+    try:
+        check_target(fault, _cluster_config(nodes))
+    except ValueError as exc:
+        raise ScenarioParseError(path, lineno, fault.target, str(exc)) from None
+
+
 def parse_campaign(text: str, path: str = "<campaign>") -> Campaign:
     """Parse a sectioned campaign document.
 
@@ -291,9 +311,11 @@ def parse_campaign(text: str, path: str = "<campaign>") -> Campaign:
         from ..faults.dsl import parse_fault
 
         try:
-            plan.add(parse_fault(line))
+            fault = parse_fault(line)
         except ValueError as exc:
             raise ScenarioParseError(path, lineno, line, str(exc)) from None
+        check_fault_target(fault, spec.nodes, path, lineno)
+        plan.add(fault)
 
     slos: list[str] = []
     for lineno, line in sections["slo"]:
@@ -394,7 +416,7 @@ def run_campaign(
     SLO verdict evaluated — the caller decides whether a failed verdict
     is fatal (CI makes it blocking).
     """
-    from ..cluster import Cluster, ClusterConfig
+    from ..cluster import Cluster
     from ..core import LiveMigrationConfig
     from ..dve.space import ZoneGrid
     from ..dve.zoneserver import ZoneServer, ZoneServerConfig
@@ -407,9 +429,7 @@ def run_campaign(
     if quick and campaign.quick_duration is not None:
         duration = campaign.quick_duration
 
-    cluster = Cluster(
-        ClusterConfig(n_nodes=spec.nodes, with_db=False, master_seed=effective_seed)
-    )
+    cluster = Cluster(_cluster_config(spec.nodes, effective_seed))
     tracer = None
     if trace_path is not None:
         tracer = cluster.env.enable_tracing()

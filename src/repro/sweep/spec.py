@@ -39,7 +39,9 @@ from typing import Optional
 
 from ..scenarios.campaign import (
     campaign_names,
+    check_fault_target,
     check_strategy,
+    get_campaign,
     parse_campaign,
     parse_strategy_value,
 )
@@ -191,6 +193,7 @@ def parse_sweep(text: str, path: str = "<sweep>") -> SweepSpec:
         raise ScenarioParseError(path, 0, "name", "sweep needs a [sweep] 'name = ...' entry")
 
     axes: dict[str, list[str]] = {}
+    faults: list = []  # (lineno, fault) of every faults-axis line
     for lineno, line in matrix_lines:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
@@ -225,7 +228,7 @@ def parse_sweep(text: str, path: str = "<sweep>") -> SweepSpec:
                     continue
                 for fault_line in v.split(";"):
                     try:
-                        parse_fault(fault_line.strip())
+                        faults.append((lineno, parse_fault(fault_line.strip())))
                     except ValueError as exc:
                         raise ScenarioParseError(path, lineno, fault_line, str(exc)) from None
     if not axes and not matrix_lines:
@@ -248,11 +251,18 @@ def parse_sweep(text: str, path: str = "<sweep>") -> SweepSpec:
         # errors point into the sweep file.
         max_line = max(base_lines)
         base_text = "\n".join(base_lines.get(i, "") for i in range(1, max_line + 1))
-        parse_campaign(base_text, path=path)
+        bases = [parse_campaign(base_text, path=path)]
     elif "campaign" not in axes:
         raise ScenarioParseError(
             path, 0, "campaign", "sweep needs a campaign axis or inline campaign sections"
         )
+    else:
+        bases = [get_campaign(name) for name in axes["campaign"]]
+    # Every faults value replaces every base's plan, so each must fit
+    # every base's cluster.
+    for lineno, fault in faults:
+        for base in bases:
+            check_fault_target(fault, base.scenario.nodes, path, lineno)
 
     return SweepSpec(name=name, axes=axes, base_text=base_text)
 

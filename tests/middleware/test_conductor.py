@@ -13,14 +13,13 @@ from repro.middleware import (
 from repro.testing import run_for
 
 
-def build_balanced_cluster(n_nodes=3, admission_capacity=1, **policy_kw):
+def build_balanced_cluster(n_nodes=3, **policy_kw):
     cluster = build_cluster(n_nodes=n_nodes, with_db=False)
     scan = [n.local_ip for n in cluster.nodes]
     config = ConductorConfig(
         policies=PolicyConfig(**policy_kw),
         check_interval=1.0,
         calm_down=3.0,
-        admission_capacity=admission_capacity,
         migration=LiveMigrationConfig(initial_round_timeout=0.08),
     )
     conductors = [
@@ -64,7 +63,7 @@ class TestDiscoveryAndHeartbeat:
 
     def test_heartbeat_period_is_policy_interval(self):
         """The information policy is ``PolicyConfig.heartbeat_interval``,
-        jittered by at most ``heartbeat_jitter`` (10%)."""
+        jittered by at most ``HEARTBEAT_JITTER`` (10%)."""
         cluster, conductors = build_balanced_cluster(heartbeat_interval=2.5)
         tracer = cluster.env.enable_tracing()
         run_for(cluster, 20.0)
@@ -156,6 +155,36 @@ class TestBalancing:
         # calm_down=3s: at most ~2 migrations can have completed by t=7.
         assert conductors[0].migrations_initiated <= 3
 
+    def test_one_session_per_node_at_a_time(self):
+        """Inbound and outbound share one slot: no node ever takes part
+        in two overlapping migration sessions."""
+        cluster, conductors = build_balanced_cluster(
+            n_nodes=4, imbalance_threshold=12
+        )
+        tracer = cluster.env.enable_tracing()
+        for c in conductors[:2]:
+            for i in range(4):
+                c.manage(spawn_worker(cluster, c.host, demand=0.9, name=f"zs{i}"))
+        run_for(cluster, 30.0)
+        # Session labels (source>dest#pid) recur when a process later
+        # migrates back, so collect a list of intervals per node.
+        open_starts, spans = {}, {}
+        for ev in tracer.events:
+            session = ev.fields.get("session")
+            if session is None:
+                continue
+            if ev.name == "mig.start":
+                open_starts[session] = ev.time
+            elif ev.name in ("mig.complete", "mig.abort") and session in open_starts:
+                span = (open_starts.pop(session), ev.time)
+                for node in session.split("#")[0].split(">"):
+                    spans.setdefault(node, []).append(span)
+        assert sum(len(v) for v in spans.values()) >= 4  # >= 2 sessions
+        for node, node_spans in spans.items():
+            node_spans.sort()
+            for a, b in zip(node_spans, node_spans[1:]):
+                assert a[1] <= b[0], (node, a, b)
+
     def test_events_logged(self):
         cluster, conductors = build_balanced_cluster()
         hot = cluster.nodes[0]
@@ -170,50 +199,6 @@ class TestBalancing:
         assert ev.success
         assert ev.source == "node1"
         assert ev.freeze_time < 0.05
-
-
-class TestBatchLaunch:
-    def test_capacity_one_is_sequential(self):
-        """The default keeps the paper's one-at-a-time behaviour."""
-        cluster, conductors = build_balanced_cluster(imbalance_threshold=12)
-        assert all(c.admission.capacity == 1 for c in conductors)
-
-    def test_capacity_two_runs_overlapping_sessions(self):
-        cluster, conductors = build_balanced_cluster(
-            admission_capacity=2, imbalance_threshold=12
-        )
-        tracer = cluster.env.enable_tracing()
-        hot = cluster.nodes[0]
-        procs = [
-            spawn_worker(cluster, hot, demand=0.9, name=f"zs{i}") for i in range(4)
-        ]
-        for p in procs:
-            conductors[0].manage(p)
-        run_for(cluster, 30.0)
-        moved = [p for p in procs if p.kernel is not hot.kernel]
-        assert len(moved) >= 2
-        assert conductors[0].migrations_initiated >= 2
-        # Conductor events carry the session ids of the engines they ran.
-        assert conductors[0].events
-        assert all(ev.session for ev in conductors[0].events)
-        # Reconstruct migration intervals from the trace (session labels
-        # recur when a process later migrates back, so collect a list):
-        # with a capacity-2 admission, at least one pair must overlap.
-        open_starts, done = {}, []
-        for ev in tracer.events:
-            session = ev.fields.get("session")
-            if session is None:
-                continue
-            if ev.name == "mig.start":
-                open_starts[session] = ev.time
-            elif ev.name in ("mig.complete", "mig.abort") and session in open_starts:
-                done.append((open_starts.pop(session), ev.time))
-        assert len(done) >= 2
-        assert any(
-            a[0] < b[1] and b[0] < a[1]
-            for i, a in enumerate(done)
-            for b in done[i + 1:]
-        )
 
 
 class TestReserveProtocol:

@@ -53,8 +53,6 @@ def model_of(
     *,
     config=None,
     now=100.0,
-    sequential=True,
-    max_actions=1,
     history=None,
 ):
     config = config or PolicyConfig()
@@ -85,8 +83,6 @@ def model_of(
         peer_infos=infos,
         average=average,
         shares=list(shares),
-        max_actions=max_actions,
-        sequential=sequential,
         config=config,
         history=history or {},
     )
@@ -123,20 +119,6 @@ class TestPaperThresholdStrategy:
         # would be no receiver anyway) — the plan must come back empty
         # rather than crash.
         assert not strat.plan(model)
-
-    def test_batch_mode_caps_actions_at_admission_headroom(self):
-        strat = PaperThresholdStrategy(PolicyConfig())
-        procs = [(FakeProc(i), 20.0) for i in range(1, 5)]
-        model = model_of(
-            80.0,
-            [peer("node2", 2, 5.0, ts=99.0), peer("node3", 3, 5.0, ts=99.0)],
-            procs,
-            sequential=False,
-            max_actions=2,
-        )
-        plan = strat.plan(model)
-        assert len(plan) == 2
-        assert len({a.proc.pid for a in plan.actions}) == 2
 
 
 class TestBalanceToAverageStrategy:

@@ -4,14 +4,14 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.des import Environment
-from repro.middleware import LoadMonitor, MigrationAdmission, MigrationSlot
+from repro.middleware import LoadMonitor, MigrationAdmission
 from repro.testing import run_for
 
 
 class TestMigrationSlot:
     def test_reserve_release_cycle(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, calm_down=10)
         assert slot.try_reserve("node1")
         assert slot.busy
         assert not slot.try_reserve("node2")  # one migration at a time
@@ -20,7 +20,7 @@ class TestMigrationSlot:
 
     def test_calm_down_blocks_new_reservations(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, calm_down=10)
         slot.try_reserve("node1")
         slot.release("node1", start_calm_down=True)
         assert slot.calming
@@ -32,7 +32,7 @@ class TestMigrationSlot:
 
     def test_abort_release_skips_calm_down(self):
         env = Environment()
-        slot = MigrationSlot(env, calm_down=10)
+        slot = MigrationAdmission(env, calm_down=10)
         slot.try_reserve("node1")
         slot.release("node1", start_calm_down=False)
         assert not slot.calming
@@ -40,76 +40,45 @@ class TestMigrationSlot:
 
     def test_release_by_wrong_owner_rejected(self):
         env = Environment()
-        slot = MigrationSlot(env)
+        slot = MigrationAdmission(env)
         slot.try_reserve("node1")
         with pytest.raises(RuntimeError):
             slot.release("node2")
 
-    def test_sender_side_calm_down(self):
-        env = Environment()
-        slot = MigrationSlot(env, calm_down=5)
-        slot.start_calm_down()
-        assert slot.calming
-
     def test_negative_calm_down_rejected(self):
         with pytest.raises(ValueError):
-            MigrationSlot(Environment(), calm_down=-1)
+            MigrationAdmission(Environment(), calm_down=-1)
 
     def test_slot_is_capacity_one_admission(self):
-        slot = MigrationSlot(Environment())
-        assert isinstance(slot, MigrationAdmission)
-        assert slot.capacity == 1
+        """One slot: a held reservation leaves no room, not even for the
+        sender that holds it."""
+        slot = MigrationAdmission(Environment())
+        assert slot.available
+        assert slot.try_reserve("node1")
+        assert not slot.available
+        assert not slot.try_reserve("node1")
+        assert slot.holder == "node1"
 
 
 class TestMigrationAdmission:
-    def test_capacity_two_admits_two_sessions(self):
-        env = Environment()
-        adm = MigrationAdmission(env, capacity=2, calm_down=10)
-        assert adm.try_reserve("node1")
-        assert not adm.busy  # one unit still free
-        assert adm.try_reserve("node2")
-        assert adm.busy
-        assert not adm.try_reserve("node3")
-        adm.release("node1", start_calm_down=False)
-        assert not adm.busy
-        assert adm.holders == ["node2"]
-
     def test_per_session_calm_down_occupies_capacity(self):
         env = Environment()
-        adm = MigrationAdmission(env, capacity=2, calm_down=10)
+        adm = MigrationAdmission(env, calm_down=10)
         adm.try_reserve("node1")
         adm.release("node1", start_calm_down=True)
-        assert adm.calming
-        assert adm.available == 1
-        assert adm.try_reserve("node2")
-        # One holder plus one cooling unit exhausts the capacity.
-        assert not adm.try_reserve("node3")
+        # Free of holders, yet the calm-down keeps the slot occupied.
+        assert not adm.busy
+        assert not adm.available
         env.timeout(11)
         env.run()
-        assert not adm.calming
-        assert adm.try_reserve("node3")
-
-    def test_same_sender_may_hold_several_units(self):
-        env = Environment()
-        adm = MigrationAdmission(env, capacity=2, calm_down=0)
-        assert adm.try_reserve("node1")
-        assert adm.try_reserve("node1")
-        assert adm.in_flight == 2
-        adm.release("node1")
-        assert adm.in_flight == 1
-        adm.release("node1")
-        assert adm.in_flight == 0
+        assert adm.available
 
     def test_release_by_non_holder_rejected(self):
         env = Environment()
-        adm = MigrationAdmission(env, capacity=2)
+        adm = MigrationAdmission(env)
         adm.try_reserve("node1")
         with pytest.raises(RuntimeError, match="no reservation"):
             adm.release("node2")
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MigrationAdmission(Environment(), capacity=0)
 
 
 class TestLoadMonitor:

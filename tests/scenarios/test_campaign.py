@@ -128,6 +128,27 @@ class TestParse:
         assert err.value.lineno == 8
 
 
+    def test_fault_targets_are_checked_against_the_campaign_cluster(self):
+        doc = (
+            "[campaign]\nname = x\n\n[scenario]\nclients 10\nnodes 2\n\n[faults]\n"
+            "t=1 crash node node2\nt=1 stall node 192.168.0.2 duration=1\n"
+            "t=1 loss link node1 rate=0.1 duration=2\nt=1 abort migd * phase=freeze\n"
+        )
+        assert len(parse_campaign(doc).faults) == 4
+        # A third node exists only when the scenario asks for it; links
+        # are named by host, and a campaign cluster has no DB host.
+        for line, token in [
+            ("t=1 crash node node3", "node3"),
+            ("t=1 crash node 192.168.0.3", "192.168.0.3"),
+            ("t=1 partition link 192.168.0.1 duration=2", "192.168.0.1"),
+            ("t=1 stall node dbserver duration=1", "dbserver"),
+        ]:
+            with pytest.raises(ScenarioParseError) as err:
+                parse_campaign(doc + line + "\n", path="c.campaign")
+            assert (err.value.lineno, err.value.token) == (13, token)
+            assert "unknown" in err.value.reason and "node2" in err.value.reason
+
+
 class TestStandingSuite:
     def test_every_named_campaign_parses_and_round_trips(self):
         assert len(campaign_names()) >= 12
@@ -255,6 +276,24 @@ class TestCLI:
         assert campaign_main(["run", str(path), "--quick"]) == 3
         err = capsys.readouterr().err
         assert f"{path}{located}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fault, token",
+        [
+            ("t=1 crash node node9", "node9"),
+            ("t=1 partition link node7 duration=3", "node7"),
+        ],
+    )
+    def test_unknown_fault_target_exits_3(self, tmp_path, capsys, fault, token):
+        path = tmp_path / "bad-target.campaign"
+        path.write_text(
+            "[campaign]\nname = bad\nquick_duration = 5\n\n"
+            f"[scenario]\nclients 4\n\n[faults]\n{fault}\n"
+        )
+        assert campaign_main(["run", str(path), "--quick"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:9:{token}:" in err
         assert "Traceback" not in err
 
     def test_unknown_ref_exits_3(self, capsys):

@@ -263,6 +263,31 @@ class TestCLI:
         assert f"{bad}:5:workload-balance-to-average:bandd=22:" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, located",
+        [
+            # The inline base has two nodes, so node3 does not exist.
+            (
+                MINI_INLINE.replace("seed = 42", "seed = 42\nfaults = t=1 crash node node3"),
+                ":7:node3:",
+            ),
+            (
+                "[sweep]\nname = x\n[matrix]\ncampaign = quiet-baseline\n"
+                "faults = t=1 partition link node7 duration=3\n",
+                ":5:node7:",
+            ),
+        ],
+        ids=["inline-base", "campaign-axis"],
+    )
+    def test_unknown_fault_target_exits_2(self, tmp_path, capsys, text, located):
+        bad = tmp_path / "bad.sweep"
+        bad.write_text(text)
+        assert main(["run", str(bad), "--quick", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}{located}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_slo_failure_exits_1_unless_ungated(self, tmp_path, capsys):
         text = MINI_INLINE.replace(
             "scenario.ticks_total >= 1", "scenario.ticks_total >= 999999"
